@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .annular import gamma_of
@@ -28,11 +29,12 @@ from .errors import CapabilityError
 from .graphs import build_t, edge_classes, obstruction_set, quotient
 from .partitioned import (
     PartitionedPermutation,
-    enumerate_ps_nc,
+    _connecting_groupings,
+    _ps_nc_scan,
+    _related_blocks,
     enumerate_ps_nc2_loopfree,
     is_loop_free,
     product_membership,
-    related_blocks,
 )
 from .setpartitions import SetPartition, enumerate_partitions
 from .unionfind import UnionFind
@@ -267,7 +269,7 @@ def pseudo_cumulant(pp: PartitionedPermutation) -> BetaPoly:
         raise ValueError("pseudo cumulants are defined for pairing elements")
     if not product_membership(pp) or not is_loop_free(pp):
         raise ValueError("element is not in the loop-free pairing class")
-    rel = related_blocks(pp)
+    rel = _related_blocks(pp)
     out = BetaPoly.one()
     for block in pp.part.blocks:
         q = len(block) // 2
@@ -298,19 +300,39 @@ _SIGNATURE_CACHE: dict[tuple[int, ...], Counter] = {}
 def _block_key_signatures(shape: tuple[int, ...]) -> Counter:
     """Multiset of per-element key signatures of the non-crossing partitioned
     permutations of a shape. A signature is the sorted tuple of block keys,
-    each block key being the sorted cycle sizes inside that block."""
+    each block key being the sorted cycle sizes inside that block.
+
+    Permutations with the same cycle lengths, component labels and block
+    count carry the same signatures, so the scan only counts those patterns.
+    """
     if shape not in _SIGNATURE_CACHE:
-        acc: Counter = Counter()
-        for pp in enumerate_ps_nc(shape):
-            sizes: dict[tuple[int, ...], list[int]] = {}
-            for cyc in pp.perm.cycles():
-                sizes.setdefault(pp.part.block_of(cyc[0]), []).append(len(cyc))
-            sig = tuple(
-                sorted(tuple(sorted(v)) for v in sizes.values())
+        patterns = Counter(
+            (tuple(len(cyc) for cyc in cycles), labels, k)
+            for _, cycles, labels, k in _ps_nc_scan(
+                shape, itertools.permutations(range(1, sum(shape) + 1))
             )
-            acc[sig] += 1
+        )
+        acc: Counter = Counter()
+        for pattern, count in patterns.items():
+            for sig, n in _grouping_signatures(*pattern):
+                acc[sig] += count * n
         _SIGNATURE_CACHE[shape] = acc
     return _SIGNATURE_CACHE[shape]
+
+
+@lru_cache(maxsize=None)
+def _grouping_signatures(
+    lengths: tuple[int, ...], labels: tuple[int, ...], k: int
+) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+    """(signature, count) over the members of one permutation, given its
+    cycle lengths, component labels and required block count."""
+    acc: Counter = Counter()
+    for rgs in _connecting_groupings(labels, k):
+        sizes: list[list[int]] = [[] for _ in range(k)]
+        for length, b in zip(lengths, rgs):
+            sizes[b].append(length)
+        acc[tuple(sorted(tuple(sorted(v)) for v in sizes))] += 1
+    return tuple(acc.items())
 
 
 _KAPPA_CACHE: dict[tuple[int, ...], BetaPoly] = {}

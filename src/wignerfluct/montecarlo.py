@@ -190,6 +190,12 @@ def plugin_joint_cumulant(columns: np.ndarray) -> complex:
     `columns` has shape (r, n_samples). Columns are centered first when
     r >= 2 (which leaves the cumulant unchanged in distribution but kills
     the dominant moment cancellations); r = 1 is the plain mean.
+
+    The moments are plug-in (divided by n), so the estimate is biased: for a
+    covariance by a factor of about 1 - 1/n. On the batches of about
+    sqrt(samples) matrices that `empirical_fluctuation` uses, that is about
+    -0.7 standard errors at any sample count (GUE (2, 2), N = 16, 400
+    samples, seeds 0-199: mean 1.908 +- 0.010 against the exact 2).
     """
     r, n = columns.shape
     if n < 1:

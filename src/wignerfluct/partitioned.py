@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .annular import NEITHER, classify_relative, gamma_of
 from .graphs import LabeledDigraph, block_bipartite
-from .permutations import Permutation, enumerate_permutations
-from .setpartitions import SetPartition, enumerate_partitions
+from .permutations import Permutation
+from .setpartitions import SetPartition, _growth_strings, enumerate_partitions
 
 Shape = tuple[int, ...]
 
@@ -168,25 +168,127 @@ def _required_blocks(perm: Permutation, g: Permutation) -> int | None:
     return k2 // 2
 
 
-def _members_over(
-    perm: Permutation, shape: Shape, g: Permutation
+def _ps_nc_scan(
+    shape: Shape, images: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], list[list[int]], tuple[int, ...], int]]:
+    """The candidates behind the non-crossing enumerations, on plain ints.
+
+    For each permutation pi, given by its images of 1..m, that length
+    additivity does not rule out, yields (images, cycles, labels, k): the
+    cycles of pi ordered by their minima; for each cycle, its component in
+    the graph where every cycle of pi^-1 gamma links the cycles of pi it
+    meets (components numbered by first occurrence); and the block count k
+    the partition must have. The members over pi are its groupings in
+    _connecting_groupings(labels, k).
+    """
+    g = gamma_of(shape)
+    m, r = g.n, g.num_cycles()
+    gamma = [0] + [g(x) for x in range(1, m + 1)]
+    for img in images:
+        which = [-1] * (m + 1)
+        cycles: list[list[int]] = []
+        for start in range(1, m + 1):
+            if which[start] < 0:
+                which[start] = len(cycles)
+                cyc = [start]
+                x = img[start - 1]
+                while x != start:
+                    which[x] = len(cycles)
+                    cyc.append(x)
+                    x = img[x - 1]
+                cycles.append(cyc)
+        inv = [0] * (m + 1)
+        for x, y in enumerate(img, 1):
+            inv[y] = x
+        seen = [False] * (m + 1)
+        links: list[list[int]] = []
+        for start in range(1, m + 1):
+            if not seen[start]:
+                seen[start] = True
+                met = [which[start]]
+                x = inv[gamma[start]]
+                while x != start:
+                    seen[x] = True
+                    met.append(which[x])
+                    x = inv[gamma[x]]
+                links.append(met)
+        t = len(cycles)
+        k2 = m + 2 - r + t - len(links)
+        if k2 <= 0 or k2 % 2 or k2 > 2 * t:
+            continue
+        yield img, cycles, _component_labels(t, links), k2 // 2
+
+
+def _component_labels(t: int, links: list[list[int]]) -> tuple[int, ...]:
+    """Component of each of t nodes once every list in `links` is merged,
+    numbered in order of first occurrence."""
+    root = list(range(t))
+    for met in links:
+        a = met[0]
+        while root[a] != a:
+            a = root[a]
+        for b in met[1:]:
+            while root[b] != b:
+                b = root[b]
+            if b != a:
+                root[b] = a
+    first: dict[int, int] = {}
+    labels = []
+    for x in range(t):
+        while root[x] != x:
+            x = root[x]
+        labels.append(first.setdefault(x, len(first)))
+    return tuple(labels)
+
+
+@lru_cache(maxsize=None)
+def _connecting_groupings(
+    labels: tuple[int, ...], k: int
+) -> tuple[tuple[int, ...], ...]:
+    """Growth strings grouping the cycles into k blocks such that the blocks
+    link all components of `labels`, in lexicographic order.
+
+    These are exactly the coarsenings whose join with the cycle partition of
+    pi^-1 gamma is a single block.
+    """
+    full = (1 << (max(labels) + 1)) - 1
+    out = []
+    for rgs in _growth_strings(len(labels), k):
+        masks = [0] * k
+        for label, b in zip(labels, rgs):
+            masks[b] |= 1 << label
+        reach, grown = masks[0], True
+        while grown:
+            grown = False
+            for mask in masks:
+                if mask & reach and mask | reach != reach:
+                    reach |= mask
+                    grown = True
+        if reach == full:
+            out.append(rgs)
+    return tuple(out)
+
+
+def _members(
+    shape: Shape, images: Iterable[tuple[int, ...]]
 ) -> Iterator[PartitionedPermutation]:
-    k = _required_blocks(perm, g)
-    if k is None or k > perm.num_cycles():
-        return
-    rest_part = _complement(perm, g).cycle_partition()
-    for part in _coarsenings(perm, k):
-        if part.join(rest_part).num_blocks() == 1:
-            yield PartitionedPermutation(part, perm, shape)
+    for img, cycles, labels, k in _ps_nc_scan(shape, images):
+        perm = Permutation(img)
+        for rgs in _connecting_groupings(labels, k):
+            blocks: list[list[int]] = [[] for _ in range(k)]
+            for cyc, b in zip(cycles, rgs):
+                blocks[b].extend(cyc)
+            yield PartitionedPermutation(SetPartition(blocks), perm, shape)
 
 
 def enumerate_ps_nc(shape: Sequence[int]) -> Iterator[PartitionedPermutation]:
     """All non-crossing partitioned permutations for the shape, lazily, by
-    exhaustive scan over the symmetric group with the length filter."""
+    exhaustive scan over the symmetric group with the length filter.
+
+    Ordered by permutation (lexicographic images), then by partition
+    (restricted growth string over the cycles)."""
     shape = tuple(shape)
-    g = gamma_of(shape)
-    for perm in enumerate_permutations(g.n):
-        yield from _members_over(perm, shape, g)
+    yield from _members(shape, itertools.permutations(range(1, sum(shape) + 1)))
 
 
 def _pairing_permutations(m: int) -> Iterator[Permutation]:
@@ -196,23 +298,24 @@ def _pairing_permutations(m: int) -> Iterator[Permutation]:
         yield Permutation.from_pairing(pairing)
 
 
-def _involution_permutations(m: int) -> Iterator[Permutation]:
-    """Cycle type <= 2: partial pairings with fixed points allowed."""
+def _involution_images(m: int) -> Iterator[tuple[int, ...]]:
+    """Cycle type <= 2: partial pairings with fixed points allowed, as image
+    tuples in lexicographic order."""
+    img = list(range(1, m + 1))
 
-    def rec(free: list[int], acc: list[tuple[int, ...]]) -> Iterator[Permutation]:
+    def rec(free: list[int]) -> Iterator[tuple[int, ...]]:
         if not free:
-            yield Permutation.from_cycles(m, [c for c in acc if len(c) == 2])
+            yield tuple(img)
             return
         a = free[0]
-        acc.append((a,))
-        yield from rec(free[1:], acc)
-        acc.pop()
+        yield from rec(free[1:])
         for j in range(1, len(free)):
-            acc.append((a, free[j]))
-            yield from rec(free[1:j] + free[j + 1 :], acc)
-            acc.pop()
+            b = free[j]
+            img[a - 1], img[b - 1] = b, a
+            yield from rec(free[1:j] + free[j + 1 :])
+            img[a - 1], img[b - 1] = a, b
 
-    yield from rec(list(range(1, m + 1)), [])
+    yield from rec(list(range(1, m + 1)))
 
 
 def enumerate_ps_nc2(shape: Sequence[int]) -> Iterator[PartitionedPermutation]:
@@ -263,9 +366,7 @@ def _blockwise_disjoint(
 def enumerate_ps_nc21(shape: Sequence[int]) -> Iterator[PartitionedPermutation]:
     """Members whose permutation has cycles of length at most two."""
     shape = tuple(shape)
-    g = gamma_of(shape)
-    for perm in _involution_permutations(g.n):
-        yield from _members_over(perm, shape, g)
+    yield from _members(shape, _involution_images(sum(shape)))
 
 
 def loop_pairs(perm: Permutation, shape: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -311,6 +412,13 @@ def related_blocks(
         raise ValueError("related_blocks needs a pairing-type permutation")
     if not product_membership(pp):
         raise ValueError("not a member of the pairing class")
+    return _related_blocks(pp)
+
+
+def _related_blocks(
+    pp: PartitionedPermutation,
+) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """related_blocks without the checks, for callers that made them."""
     g = gamma_of(pp.shape)
     orbits = (g * pp.perm).cycle_partition()
 

@@ -137,20 +137,26 @@ def enumerate_partitions(n: int, nblocks: int | None = None) -> Iterator[SetPart
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    for assign in _growth_strings(n, nblocks):
+        blocks: list[list[int]] = [[] for _ in range(max(assign, default=-1) + 1)]
+        for pos, b in enumerate(assign):
+            blocks[b].append(pos + 1)
+        yield SetPartition(blocks)
+
+
+def _growth_strings(n: int, nblocks: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Restricted growth strings a of length n (a[0] = 0, a[i] <= 1 +
+    max(a[:i])) in lexicographic order; with `nblocks` set, only those using
+    exactly that many values. a[i] is the block of element i + 1."""
     if n == 0:
         if nblocks in (None, 0):
-            yield SetPartition([])
+            yield ()
         return
 
-    # Restricted growth strings: a[0] = 0, a[i] <= 1 + max(a[:i]).
-    def rec(i: int, maxi: int, assign: list[int]) -> Iterator[SetPartition]:
+    def rec(i: int, maxi: int, assign: list[int]) -> Iterator[tuple[int, ...]]:
         if i == n:
-            k = maxi + 1
-            if nblocks is None or k == nblocks:
-                blocks: list[list[int]] = [[] for _ in range(k)]
-                for pos, b in enumerate(assign):
-                    blocks[b].append(pos + 1)
-                yield SetPartition(blocks)
+            if nblocks is None or maxi + 1 == nblocks:
+                yield tuple(assign)
             return
         # Even finishing every remaining element in its own new block cannot
         # reach nblocks if we already exceeded it, or cannot climb high enough.

@@ -18,6 +18,7 @@ import random
 import time
 from collections import Counter
 
+import pytest
 from cumulant_oracle import closed_form_cumulant
 
 from wignerfluct.annular import (
@@ -175,6 +176,7 @@ def test_cycle_count_inequality():
         assert lhs <= n + 2 * orbits
 
 
+@pytest.mark.slow
 def test_tree_rule_equals_product_rule():
     # The tree characterisation of noncrossing partitioned permutations must
     # agree with the length-additivity definition for every candidate pair.

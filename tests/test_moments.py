@@ -1,5 +1,6 @@
 import json
 import pathlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from cumulant_oracle import closed_form_cumulant
 from wignerfluct.betapoly import BetaPoly
 from wignerfluct.errors import CapabilityError
 from wignerfluct.moments import (
+    _block_key_signatures,
     finite_n_moment,
     fluctuation_moment,
     free_cumulant,
@@ -241,6 +243,18 @@ def test_cumulant_capability_bounds():
         free_cumulants(max_order=9)
     with pytest.raises(ValueError):
         free_cumulants(max_r=0)
+
+
+def test_block_key_signatures_match_members():
+    keys = list(free_cumulants(4, 7)) + [(2, 2, 2, 2)]
+    for key in keys:
+        want: Counter = Counter()
+        for pp in enumerate_ps_nc(key):
+            sizes: dict[tuple[int, ...], list[int]] = {}
+            for cyc in pp.perm.cycles():
+                sizes.setdefault(pp.part.block_of(cyc[0]), []).append(len(cyc))
+            want[tuple(sorted(tuple(sorted(v)) for v in sizes.values()))] += 1
+        assert _block_key_signatures(key) == want, key
 
 
 def test_moment_cumulant_roundtrip():

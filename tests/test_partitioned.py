@@ -110,6 +110,48 @@ def test_disc_counts_are_catalan():
         assert sum(1 for _ in enumerate_ps_nc((m,))) == CATALAN[m]
 
 
+def _weakly_decreasing_shapes(max_total: int):
+    def rec(remaining, cap):
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(remaining, cap), 0, -1):
+            for rest in rec(remaining - part, part):
+                yield (part,) + rest
+
+    for total in range(1, max_total + 1):
+        yield from rec(total, total)
+
+
+def _reference_ps_nc(shape):
+    """Every coarsening of every permutation's cycles, in lexicographic
+    permutation order, filtered by the defining product identity."""
+    out = []
+    for perm in enumerate_permutations(sum(shape)):
+        cycles = perm.cycles()
+        for grouping in enumerate_partitions(len(cycles)):
+            part = SetPartition(
+                [
+                    [x for ci in grp for x in cycles[ci - 1]]
+                    for grp in grouping.blocks
+                ]
+            )
+            cand = PartitionedPermutation(part, perm, shape)
+            if product_membership(cand):
+                out.append(cand)
+    return out
+
+
+def test_enumerations_match_membership_scan():
+    for shape in _weakly_decreasing_shapes(6):
+        want = _reference_ps_nc(shape)
+        assert list(enumerate_ps_nc(shape)) == want, shape
+        want21 = [
+            pp for pp in want if all(len(c) <= 2 for c in pp.perm.cycles())
+        ]
+        assert list(enumerate_ps_nc21(shape)) == want21, shape
+
+
 def test_enumeration_chain():
     for shape in [(2,), (1, 1), (2, 2), (4,), (1, 1, 2)]:
         nc = set(enumerate_ps_nc(shape))
