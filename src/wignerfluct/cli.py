@@ -270,12 +270,6 @@ def _add_common(sub: argparse.ArgumentParser, *, orders: bool = True) -> None:
         metavar="PATH",
         help="also write the base permutation graph for the shape to PATH",
     )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; accepted for compatibility and currently ignored",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

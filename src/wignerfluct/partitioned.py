@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 from .annular import NEITHER, classify_relative, gamma_of
 from .graphs import LabeledDigraph, block_bipartite
 from .permutations import Permutation
-from .setpartitions import SetPartition, _growth_strings, enumerate_partitions
+from .setpartitions import SetPartition, _growth_strings
 
 Shape = tuple[int, ...]
 
@@ -87,19 +87,15 @@ def pp_product(
 
 
 @lru_cache(maxsize=1 << 16)
-def _complement(perm: Permutation, g: Permutation) -> Permutation:
-    """The factor closing perm up to the boundary permutation, perm^-1 g."""
-    return perm.inverse() * g
-
-
-@lru_cache(maxsize=1 << 16)
 def _orbit_join(perm: Permutation, g: Permutation) -> SetPartition:
     return perm.cycle_partition().join(g.cycle_partition())
 
 
 @lru_cache(maxsize=1 << 16)
 def _closing_element(perm: Permutation, g: Permutation, shape: Shape) -> PartitionedPermutation:
-    rest = _complement(perm, g)
+    """The factor closing perm up to the boundary permutation: perm^-1 g over
+    its own cycle partition."""
+    rest = perm.inverse() * g
     return PartitionedPermutation(rest.cycle_partition(), rest, shape)
 
 
@@ -139,33 +135,6 @@ def is_nc_partitioned_perm(pp: PartitionedPermutation) -> bool:
 
 # ---------------------------------------------------------------------------
 # Enumerations
-
-
-def _coarsenings(
-    perm: Permutation, nblocks: int | None = None
-) -> Iterator[SetPartition]:
-    """Partitions of {1..m} obtained by grouping whole cycles of perm."""
-    cycles = perm.cycles()
-    t = len(cycles)
-    for grouping in enumerate_partitions(t, nblocks):
-        yield SetPartition(
-            [
-                sorted(x for ci in grp for x in cycles[ci - 1])
-                for grp in grouping.blocks
-            ]
-        )
-
-
-def _required_blocks(perm: Permutation, g: Permutation) -> int | None:
-    """Number of blocks the partition must have for length additivity against
-    the complementary factor; None when no size works."""
-    m = g.n
-    r = g.num_cycles()
-    rest = _complement(perm, g)
-    k2 = m + 2 - r + perm.num_cycles() - rest.num_cycles()
-    if k2 <= 0 or k2 % 2:
-        return None
-    return k2 // 2
 
 
 def _ps_nc_scan(
@@ -291,13 +260,6 @@ def enumerate_ps_nc(shape: Sequence[int]) -> Iterator[PartitionedPermutation]:
     yield from _members(shape, itertools.permutations(range(1, sum(shape) + 1)))
 
 
-def _pairing_permutations(m: int) -> Iterator[Permutation]:
-    from .setpartitions import enumerate_pairings
-
-    for pairing in enumerate_pairings(m):
-        yield Permutation.from_pairing(pairing)
-
-
 def _involution_images(m: int) -> Iterator[tuple[int, ...]]:
     """Cycle type <= 2: partial pairings with fixed points allowed, as image
     tuples in lexicographic order."""
@@ -321,46 +283,15 @@ def _involution_images(m: int) -> Iterator[tuple[int, ...]]:
 def enumerate_ps_nc2(shape: Sequence[int]) -> Iterator[PartitionedPermutation]:
     """Members whose permutation is a pairing.
 
-    The outer loop runs over annular non-crossing pairings only — crossings
-    can never satisfy the length identity — and groupings that put two pairs
-    against a common boundary cycle are skipped before the exact filter.
-    """
+    The same scan as enumerate_ps_nc, over the fixed-point-free involutions
+    only; ordered by pairing (lexicographic images), then by partition."""
     shape = tuple(shape)
-    g = gamma_of(shape)
-    gpart = g.cycle_partition()
-    for perm in _pairing_permutations(g.n):
-        if classify_relative(perm, g) == NEITHER:
-            continue
-        k = _required_blocks(perm, g)
-        if k is None or k > perm.num_cycles():
-            continue
-        rest_part = _complement(perm, g).cycle_partition()
-        touched = {
-            cyc: {gpart.block_of(x)[0] for x in cyc} for cyc in perm.cycles()
-        }
-        for part in _coarsenings(perm, k):
-            if part.join(rest_part).num_blocks() != 1:
-                continue
-            if not _blockwise_disjoint(part, perm, touched):
-                continue
-            yield PartitionedPermutation(part, perm, shape)
-
-
-def _blockwise_disjoint(
-    part: SetPartition,
-    perm: Permutation,
-    touched: dict[tuple[int, ...], set[int]],
-) -> bool:
-    cycles_by_block: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for cyc in perm.cycles():
-        cycles_by_block.setdefault(part.block_of(cyc[0]), []).append(cyc)
-    for cycs in cycles_by_block.values():
-        seen: set[int] = set()
-        for cyc in cycs:
-            if seen & touched[cyc]:
-                return False
-            seen |= touched[cyc]
-    return True
+    pairings = (
+        img
+        for img in _involution_images(sum(shape))
+        if all(x != y for x, y in enumerate(img, 1))
+    )
+    yield from _members(shape, pairings)
 
 
 def enumerate_ps_nc21(shape: Sequence[int]) -> Iterator[PartitionedPermutation]:

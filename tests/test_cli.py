@@ -208,9 +208,3 @@ def test_dump_graph(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text() == "digraph\n1 2 1\n2 1 2\n"
-
-
-def test_threads_flag_accepted(capsys):
-    code, out, _ = run(capsys, "moments", "--orders", "2", "--threads", "4")
-    assert code == 0
-    assert out == "b2\n"

@@ -150,6 +150,8 @@ def test_enumerations_match_membership_scan():
             pp for pp in want if all(len(c) <= 2 for c in pp.perm.cycles())
         ]
         assert list(enumerate_ps_nc21(shape)) == want21, shape
+        want2 = [pp for pp in want if pp.perm.is_involution_without_fixed_points()]
+        assert list(enumerate_ps_nc2(shape)) == want2, shape
 
 
 def test_enumeration_chain():
