@@ -8,7 +8,8 @@ Three independent routes to the same numbers live here:
 * fluctuation_moment — the closed combinatorial formula as a sum of pseudo
   cumulants over loop-free pairing elements;
 * finite_n_moment — the exact pre-limit expansion at a concrete matrix size,
-  valid for every N >= 1.
+  valid for every N >= 1: a polynomial in N whose coefficients are tabulated
+  once per shape by the same integer kernel as the oracle.
 
 free_cumulants inverts the moment-cumulant relation over non-crossing
 partitioned permutations; the inversion is triangular with unit diagonal, so
@@ -21,7 +22,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .annular import gamma_of
 from .betapoly import BetaPoly
@@ -36,8 +37,7 @@ from .partitioned import (
     is_loop_free,
     product_membership,
 )
-from .setpartitions import SetPartition, enumerate_partitions
-from .unionfind import UnionFind
+from .setpartitions import SetPartition, _growth_strings
 
 DEFAULT_ORACLE_BOUND = 8
 
@@ -114,76 +114,113 @@ def k_tau_pi(shape: Sequence[int], tau: SetPartition, pi: SetPartition) -> BetaP
 
 
 # ---------------------------------------------------------------------------
-# tau-sum over connecting groupings, shared by the oracle and finite-N routes
+# tau-sum kernel over index partitions, shared by the oracle and finite-N routes
 
 
-def _even_partitions_of(elems: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    if not elems:
-        return [()]
-    first, rest = elems[0], elems[1:]
-    out = []
-    for k in range(1, len(elems), 2):
-        for comp in itertools.combinations(rest, k):
-            block = (first,) + comp
-            taken = set(comp)
-            remaining = tuple(x for x in rest if x not in taken)
-            for sub in _even_partitions_of(remaining):
-                out.append((block,) + sub)
-    return out
-
-
-def _pair_partitions_of(elems: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    if not elems:
-        return [()]
-    first, rest = elems[0], elems[1:]
-    out = []
-    for j, mate in enumerate(rest):
-        remaining = rest[:j] + rest[j + 1 :]
-        for sub in _pair_partitions_of(remaining):
-            out.append(((first, mate),) + sub)
-    return out
-
-
-def _tau_monomials(
-    shape: tuple[int, ...], pi: SetPartition
-) -> Counter[tuple[int, ...]]:
-    """Multiset of nonzero factor monomials over all connecting groupings.
-
-    Only groupings refining the edge classes with even, balanced blocks can
-    contribute, so those are built directly class by class.
-    """
-    info = _QuotientInfo(shape, pi)
+def _circle_frame(shape: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """gamma as 0-based images, and the circle (0..r-1) of every 0-based label."""
     g = gamma_of(shape)
-    gcycles = g.cycle_partition()
+    succ = tuple(g(j) - 1 for j in range(1, g.n + 1))
+    circle = tuple(c for c, length in enumerate(shape) for _ in range(length))
+    return succ, circle
 
-    per_class: list[list[tuple[tuple[int, ...], ...]]] = []
-    for cls in info.classes.blocks:
-        if len(cls) % 2:
-            return Counter()
-        if info.classes.block_of(cls[0])[0] in info.loop_reps:
-            choices = _pair_partitions_of(cls)
-        else:
-            choices = [
-                parts
-                for parts in _even_partitions_of(cls)
-                if all(sum(info.sign[x] for x in b) == 0 for b in parts)
-            ]
-        if not choices:
-            return Counter()
-        per_class.append(choices)
 
+@lru_cache(maxsize=None)
+def _class_groupings(
+    n: int, loop: bool
+) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """(sorted block sizes, blocks) of every admissible grouping of an edge
+    class of n labels, blocks given as positions 0..n-1 in the class.
+
+    A loop class admits its pairings. Any other class is listed with its
+    n/2 labels of one orientation first, then the n/2 of the other, and
+    admits the groupings whose blocks hold as many of each, which makes
+    every block even. Keyed by n alone, so every orientation pattern of a
+    class size shares one table.
+    """
+    half = n // 2
+    out = []
+
+    def rec(rest: tuple[int, ...], acc: list[tuple[int, ...]]) -> None:
+        if not rest:
+            out.append((tuple(sorted(len(b) for b in acc)), tuple(acc)))
+            return
+        first, others = rest[0], rest[1:]
+        for k in (1,) if loop else range(1, len(others) + 1, 2):
+            for comp in itertools.combinations(others, k):
+                block = (first,) + comp
+                if loop or 2 * sum(i < half for i in block) == len(block):
+                    acc.append(block)
+                    rec(tuple(x for x in others if x not in comp), acc)
+                    acc.pop()
+
+    rec(tuple(range(n)), [])
+    return tuple(out)
+
+
+def _link(comps: tuple[int, ...], masks: Iterable[int]) -> tuple[int, ...]:
+    """Merge the disjoint circle bitmasks `comps` along each mask of `masks`."""
+    for mask in masks:
+        merged, rest = mask, []
+        for c in comps:
+            if c & mask:
+                merged |= c
+            else:
+                rest.append(c)
+        comps = tuple(sorted(rest + [merged]))
+    return comps
+
+
+def _tau_counts(
+    frame: tuple[tuple[int, ...], tuple[int, ...]], a: Sequence[int]
+) -> Counter[tuple[int, ...]]:
+    """Multiset of nonzero factor monomials over all connecting groupings,
+    for the index partition with restricted growth string a.
+
+    Label j's quotient edge runs from block a[gamma(j)] to block a[j]; labels
+    on the same unordered block pair form an edge class. A contributing
+    grouping splits every class into admissible blocks, and its blocks must
+    link all circles of gamma. Classes are folded in one at a time, keeping
+    only the block sizes so far and the circles linked so far.
+    """
+    succ, circle = frame
+    classes: dict[tuple[int, int], list[int]] = {}
+    for j, t in enumerate(a):
+        s = a[succ[j]]
+        classes.setdefault((s, t) if s <= t else (t, s), []).append(j)
+    if any(len(labels) % 2 for labels in classes.values()):
+        return Counter()
+    r = circle[-1] + 1
+    states: Counter = Counter({((), tuple(1 << c for c in range(r))): 1})
+    for labels in classes.values():
+        s0 = a[succ[labels[0]]]
+        loop = s0 == a[labels[0]]
+        if not loop:
+            # Labels along the first label's direction first; a class that
+            # runs more often one way than the other admits no grouping.
+            ordered = [j for j in labels if a[succ[j]] == s0]
+            if 2 * len(ordered) != len(labels):
+                return Counter()
+            labels = ordered + [j for j in labels if a[succ[j]] != s0]
+        options: Counter = Counter()
+        for sizes, blocks in _class_groupings(len(labels), loop):
+            masks = []
+            for block in blocks:
+                mask = 0
+                for i in block:
+                    mask |= 1 << circle[labels[i]]
+                if mask & (mask - 1):
+                    masks.append(mask)
+            options[sizes, _link((), masks)] += 1
+        folded: Counter = Counter()
+        for (sizes, comps), n in states.items():
+            for (more, links), k in options.items():
+                folded[tuple(sorted(sizes + more)), _link(comps, links)] += n * k
+        states = folded
     out: Counter[tuple[int, ...]] = Counter()
-    for combo in itertools.product(*per_class):
-        blocks = [b for parts in combo for b in parts]
-        uf = UnionFind(range(1, g.n + 1))
-        for cyc in gcycles.blocks:
-            for x in cyc[1:]:
-                uf.union(cyc[0], x)
-        for b in blocks:
-            for x in b[1:]:
-                uf.union(b[0], x)
-        if uf.n_groups() == 1:
-            out[tuple(sorted(len(b) for b in blocks))] += 1
+    for (sizes, comps), n in states.items():
+        if len(comps) == 1:
+            out[sizes] += n
     return out
 
 
@@ -208,10 +245,11 @@ def moment_oracle(
     target = m // 2 - r + 2
     if target < 1:
         return BetaPoly.zero()
+    frame = _circle_frame(shape)
     acc: Counter[tuple[int, ...]] = Counter()
-    for pi in enumerate_partitions(m, nblocks=target):
-        acc.update(_tau_monomials(shape, pi))
-    return BetaPoly({mono: count for mono, count in acc.items()})
+    for a in _growth_strings(m, target):
+        acc.update(_tau_counts(frame, a))
+    return BetaPoly(acc)
 
 
 def _falling(n: int, k: int) -> int:
@@ -221,14 +259,33 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
+_FINITE_CACHE: dict[tuple[int, ...], dict[int, Counter]] = {}
+
+
+def _finite_table(shape: tuple[int, ...]) -> dict[int, Counter]:
+    """Monomial counts c_k of the tau-sum, summed over the index partitions
+    with k blocks, for every k. They do not depend on N."""
+    if shape not in _FINITE_CACHE:
+        frame = _circle_frame(shape)
+        table: dict[int, Counter] = {}
+        for a in _growth_strings(sum(shape)):
+            counts = _tau_counts(frame, a)
+            if counts:
+                table.setdefault(max(a) + 1, Counter()).update(counts)
+        _FINITE_CACHE[shape] = table
+    return _FINITE_CACHE[shape]
+
+
 def finite_n_moment(
     orders: Sequence[int], N: int, bound: int = DEFAULT_ORACLE_BOUND
 ) -> BetaPoly:
     """The exact size-N fluctuation moment (no limit taken).
 
-    Valid for every integer N >= 1: index partitions with more blocks than N
-    are killed by the falling factorial, which is exactly the right
-    truncation.
+    A polynomial in N: the sum over k of N^(k) * N^(r-2-m/2) * c_k, where
+    N^(k) is the falling factorial counting the index assignments of a
+    partition with k blocks and c_k is computed once per shape. Valid for
+    every integer N >= 1: partitions with more blocks than N get N^(k) = 0,
+    which is exactly the right truncation.
     """
     shape = _validate_orders(orders)
     m, r = sum(shape), len(shape)
@@ -240,19 +297,13 @@ def finite_n_moment(
         raise ValueError(f"N must be a positive integer: {N}")
     if m % 2:
         return BetaPoly.zero()
-    scale_exp = r - 2 - m // 2
-    scale = Fraction(N) ** scale_exp
-    total = BetaPoly.zero()
-    for pi in enumerate_partitions(m):
-        weight = _falling(N, pi.num_blocks())
-        if weight == 0:
-            continue
-        acc = _tau_monomials(shape, pi)
-        if acc:
-            total += BetaPoly(
-                {mono: scale * weight * count for mono, count in acc.items()}
-            )
-    return total
+    scale = Fraction(N) ** (r - 2 - m // 2)
+    coeffs: Counter = Counter()
+    for k, counts in _finite_table(shape).items():
+        weight = scale * _falling(N, k)
+        for mono, count in counts.items():
+            coeffs[mono] += weight * count
+    return BetaPoly(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,20 @@ def test_closed_formula_matches_defining_sum():
     assert time.monotonic() - start < 900.0
 
 
+def test_closed_formula_matches_defining_sum_to_order_10():
+    # Past the oracle's default bound: every shape of total order up to 10
+    # with up to 5 traces, with the bound raised explicitly.
+    start = time.monotonic()
+    checked = 0
+    for orders in sorted_shapes(10):
+        if len(orders) > 5:
+            continue
+        assert moment_oracle(orders, bound=10) == fluctuation_moment(orders), orders
+        checked += 1
+    assert checked == 112
+    assert time.monotonic() - start < 120.0
+
+
 def test_gaussian_case_counts_pairings():
     # With b2 = 1 and all higher entry cumulants zero, every fluctuation
     # moment collapses to the number of noncrossing pairings of its shape.

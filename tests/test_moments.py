@@ -1,3 +1,5 @@
+import importlib.util
+import itertools
 import json
 import pathlib
 from collections import Counter
@@ -6,10 +8,13 @@ from fractions import Fraction
 import pytest
 from cumulant_oracle import closed_form_cumulant
 
+from wignerfluct.annular import gamma_of
 from wignerfluct.betapoly import BetaPoly
 from wignerfluct.errors import CapabilityError
 from wignerfluct.moments import (
     _block_key_signatures,
+    _circle_frame,
+    _tau_counts,
     finite_n_moment,
     fluctuation_moment,
     free_cumulant,
@@ -20,9 +25,31 @@ from wignerfluct.moments import (
 )
 from wignerfluct.partitioned import PartitionedPermutation, enumerate_ps_nc
 from wignerfluct.permutations import Permutation
-from wignerfluct.setpartitions import SetPartition
+from wignerfluct.setpartitions import (
+    SetPartition,
+    _growth_strings,
+    enumerate_partitions,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+REFS = pathlib.Path(__file__).parent.parent / "bench" / "refs.py"
+
+
+def _load_refs():
+    """The benchmark's package-free references, imported by path."""
+    spec = importlib.util.spec_from_file_location("bench_refs", REFS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _weakly_decreasing(total: int, largest: int | None = None):
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest or total), 0, -1):
+        for rest in _weakly_decreasing(total - first, first):
+            yield (first,) + rest
 
 
 def _pp(part: str, cycles, shape) -> PartitionedPermutation:
@@ -137,6 +164,27 @@ def test_oracle_capability_bound():
     assert moment_oracle((9,), bound=9).is_zero()
 
 
+def test_tau_kernel_matches_object_path():
+    # The integer kernel against the entry-cumulant factors of the object
+    # path, summed over every grouping whose join with gamma's cycles is one
+    # block, for every index partition (all block counts).
+    for total in range(1, 7):
+        for shape in _weakly_decreasing(total):
+            gcycles = gamma_of(shape).cycle_partition()
+            connecting = [
+                tau
+                for tau in enumerate_partitions(total)
+                if tau.join(gcycles).num_blocks() == 1
+            ]
+            frame = _circle_frame(shape)
+            pis = enumerate_partitions(total)
+            for a, pi in zip(_growth_strings(total), pis, strict=True):
+                want: Counter = Counter()
+                for tau in connecting:
+                    want.update(k_tau_pi(shape, tau, pi).terms())
+                assert _tau_counts(frame, a) == want, (shape, str(pi))
+
+
 # --- finite size ------------------------------------------------------------
 
 
@@ -168,6 +216,29 @@ def test_finite_n_converges_to_limit():
         big = finite_n_moment(shape, 10**6)
         assign = {2: 1.0, 4: 1.0, 6: 1.0, 8: 1.0}
         assert abs(big.evaluate(assign) - limit.evaluate(assign)) < 1e-4
+
+
+def test_finite_n_matches_brute_force():
+    # Against the benchmark's brute-force sum over all N^m index tuples,
+    # which shares no code with the package, under both of its entry laws.
+    refs = _load_refs()
+    betas = {law: refs.entry_cumulants(radial) for law, radial in refs.LAWS.items()}
+    checked = 0
+    for parts in range(1, 5):
+        for orders in itertools.product(range(1, 9), repeat=parts):
+            if sum(orders) > 8:
+                continue
+            checked += 1
+            for N in (1, 2, 3):
+                poly = finite_n_moment(orders, N)
+                if sum(orders) % 2:
+                    assert poly.is_zero(), orders
+                    continue
+                exact = refs.brute_force_moment(orders, N, list(refs.LAWS))
+                for law, value in exact.items():
+                    got = refs.evaluate(poly.terms(), betas[law])
+                    assert got == value, (orders, N, law)
+    assert checked == 162
 
 
 def test_finite_n_validation():
