@@ -24,12 +24,9 @@ import json
 import sys
 
 from .annular import NC, classify_relative, gamma_of
-from .errors import CapabilityError
+from .errors import LIMITS, CapabilityError, check_limit, validate_orders
 from .graphs import build_t, obstruction_set
 from .moments import (
-    DEFAULT_ORACLE_BOUND,
-    MAX_CUMULANT_ORDER,
-    MAX_CUMULANT_PARTS,
     finite_n_moment,
     fluctuation_moment,
     free_cumulant,
@@ -42,20 +39,13 @@ from .permutations import enumerate_permutations
 
 _FORMATS = ("text", "json", "csv")
 
-# `enumerate nc` scans all of S_m; keep the ground set small enough that the
-# command stays interactive.
-_ENUM_NC_CAP = 8
-_ENUM_PAIRING_CAP = 12
-
 
 def _parse_orders(text: str) -> tuple[int, ...]:
     try:
         orders = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"bad --orders value {text!r}; expected e.g. 2,2,4")
-    if not orders or any(k < 1 for k in orders):
-        raise ValueError("--orders entries must be positive integers")
-    return orders
+    return validate_orders(orders)
 
 
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str],
@@ -111,7 +101,7 @@ def _cmd_cumulants(args: argparse.Namespace) -> int:
             [[_cumulant_key(orders), rendered]],
         )
         return 0
-    table = free_cumulants(MAX_CUMULANT_PARTS, MAX_CUMULANT_ORDER)
+    table = free_cumulants()
     rows = [
         (key, str(poly))
         for key, poly in sorted(table.items(), key=lambda kv: (sum(kv[0]), kv[0]))
@@ -140,10 +130,8 @@ def _enumerate_elements(args: argparse.Namespace) -> tuple[dict, list[str]]:
     shape = _parse_orders(args.orders)
     total = sum(shape)
     if family == "nc":
-        if total > _ENUM_NC_CAP:
-            raise CapabilityError(
-                f"enumerate nc supports totals up to {_ENUM_NC_CAP}, got {total}"
-            )
+        # Scans all of S_m.
+        check_limit("enumerate nc total order", total)
         g = gamma_of(shape)
         elems = [
             str(p)
@@ -151,11 +139,7 @@ def _enumerate_elements(args: argparse.Namespace) -> tuple[dict, list[str]]:
             if classify_relative(p, g) == NC
         ]
         return {"shape": list(shape)}, elems
-    if total > _ENUM_PAIRING_CAP:
-        raise CapabilityError(
-            f"enumerate {family} supports totals up to {_ENUM_PAIRING_CAP}, "
-            f"got {total}"
-        )
+    check_limit("enumerate pairing total order", total)
     if family == "nc2":
         from .annular import enumerate_nc2
 
@@ -184,8 +168,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     orders = _parse_orders(args.orders)
     _maybe_dump_graph(args, orders)
-    theorem = fluctuation_moment(orders)
+    # The oracle checks its bound on entry, so an out-of-range request fails
+    # before the closed formula is computed.
     reference = moment_oracle(orders, bound=args.oracle_bound)
+    theorem = fluctuation_moment(orders)
     ok = theorem == reference
     verdict = "PASS" if ok else "FAIL"
     _emit(
@@ -304,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument(
         "--oracle-bound",
         type=int,
-        default=DEFAULT_ORACLE_BOUND,
+        default=LIMITS["oracle total order"],
         help="largest total order the summation oracle will attempt",
     )
     p_or.set_defaults(func=_cmd_oracle)
@@ -331,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fin.add_argument(
         "--oracle-bound",
         type=int,
-        default=DEFAULT_ORACLE_BOUND,
+        default=LIMITS["oracle total order"],
         help="largest total order the expansion will attempt",
     )
     p_fin.set_defaults(func=_cmd_finite_n)
@@ -344,10 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CapabilityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CapabilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

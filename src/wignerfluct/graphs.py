@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from .annular import NC, NC_NONCONNECTING, classify_relative, gamma_of
-from .errors import CapabilityError
+from .errors import check_limit
 from .permutations import Permutation
 from .setpartitions import SetPartition, enumerate_partitions
 from .unionfind import UnionFind
@@ -228,21 +228,17 @@ def admits_ncpp(tau: SetPartition) -> bool:
 
 
 _OBSTRUCTION_CACHE: dict[int, tuple[SetPartition, ...]] = {}
-_OBSTRUCTION_MAX = 5
 
 
 def obstruction_set(n: int) -> tuple[SetPartition, ...]:
     """All parity-respecting, connecting partitions of {1..2n} that admit no
     tree pairing. Empty for n <= 3; exactly three members for n = 4.
 
-    Supported for n <= 5 (the computation enumerates all partitions of 2n).
+    Bounded by LIMITS["obstruction set n"]: it scans all partitions of 2n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > _OBSTRUCTION_MAX:
-        raise CapabilityError(
-            f"obstruction sets are tabulated only up to n = {_OBSTRUCTION_MAX} (got {n})"
-        )
+    check_limit("obstruction set n", n)
     if n not in _OBSTRUCTION_CACHE:
         gamma = _parity_gamma(n)
         gpart = gamma.cycle_partition()

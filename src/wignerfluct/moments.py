@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .annular import gamma_of
 from .betapoly import BetaPoly
-from .errors import CapabilityError
+from .errors import LIMITS, check_limit, validate_orders
 from .graphs import build_t, edge_classes, obstruction_set, quotient
 from .partitioned import (
     PartitionedPermutation,
@@ -39,16 +39,7 @@ from .partitioned import (
 )
 from .setpartitions import SetPartition, _growth_strings
 
-DEFAULT_ORACLE_BOUND = 8
-
 CumulantTable = dict[tuple[int, ...], BetaPoly]
-
-
-def _validate_orders(orders: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(x) for x in orders)
-    if not out or any(x < 1 for x in out):
-        raise ValueError(f"orders must be positive integers: {orders}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +89,7 @@ def k_tau_pi(shape: Sequence[int], tau: SetPartition, pi: SetPartition) -> BetaP
     under the index identification pi. Zero whenever any block straddles edge
     classes, is odd or a singleton, sits unbalanced on its vertex pair, or
     groups more than two diagonal entries."""
-    shape = _validate_orders(shape)
+    shape = validate_orders(shape)
     m = sum(shape)
     ground = set(range(1, m + 1))
     if tau.ground() != ground or pi.ground() != ground:
@@ -225,21 +216,18 @@ def _tau_counts(
 
 
 def moment_oracle(
-    orders: Sequence[int], bound: int = DEFAULT_ORACLE_BOUND
+    orders: Sequence[int], bound: int = LIMITS["oracle total order"]
 ) -> BetaPoly:
     """The limit fluctuation moment, straight from its defining sum.
 
     Index partitions are restricted to the block count that survives the
     limit; every admissible grouping of the matrix-entry factors contributes
-    one monomial. Guarded by a total-order capability bound (default 8)
-    because the partition scan grows super-exponentially.
+    one monomial. The total order is capped (`bound`, by default the oracle
+    limit) because the partition scan grows super-exponentially.
     """
-    shape = _validate_orders(orders)
+    shape = validate_orders(orders)
     m, r = sum(shape), len(shape)
-    if m > bound:
-        raise CapabilityError(
-            f"oracle supports total order <= {bound} (got {m}); raise `bound` explicitly to override"
-        )
+    check_limit("oracle total order", m, bound)
     if m % 2:
         return BetaPoly.zero()
     target = m // 2 - r + 2
@@ -277,7 +265,7 @@ def _finite_table(shape: tuple[int, ...]) -> dict[int, Counter]:
 
 
 def finite_n_moment(
-    orders: Sequence[int], N: int, bound: int = DEFAULT_ORACLE_BOUND
+    orders: Sequence[int], N: int, bound: int = LIMITS["oracle total order"]
 ) -> BetaPoly:
     """The exact size-N fluctuation moment (no limit taken).
 
@@ -287,12 +275,9 @@ def finite_n_moment(
     every integer N >= 1: partitions with more blocks than N get N^(k) = 0,
     which is exactly the right truncation.
     """
-    shape = _validate_orders(orders)
+    shape = validate_orders(orders)
     m, r = sum(shape), len(shape)
-    if m > bound:
-        raise CapabilityError(
-            f"finite-N expansion supports total order <= {bound} (got {m})"
-        )
+    check_limit("oracle total order", m, bound)
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"N must be a positive integer: {N}")
     if m % 2:
@@ -310,6 +295,26 @@ def finite_n_moment(
 # Closed formula over loop-free pairing elements
 
 
+@lru_cache(maxsize=None)
+def _weight(blocks: tuple[tuple[int, bool], ...]) -> BetaPoly:
+    """pseudo_cumulant of an element, given the sorted (pairs q, unrelated to
+    every other block) of its blocks; many elements share one multiset."""
+    out = BetaPoly.one()
+    for q, unrelated in blocks:
+        base = BetaPoly.beta(2 * q)
+        if unrelated:
+            for obst in obstruction_set(q):
+                base += BetaPoly({tuple(sorted(len(d) for d in obst.blocks)): 1})
+        out = out * base.scale(2 ** (q - 1))
+    return out
+
+
+def _pseudo_cumulant(pp: PartitionedPermutation) -> BetaPoly:
+    """pseudo_cumulant without the checks, for loop-free pairing members."""
+    rel = _related_blocks(pp)
+    return _weight(tuple(sorted((len(b) // 2, not rel[b]) for b in pp.part.blocks)))
+
+
 def pseudo_cumulant(pp: PartitionedPermutation) -> BetaPoly:
     """Weight of one loop-free pairing element in the closed moment formula.
 
@@ -320,24 +325,16 @@ def pseudo_cumulant(pp: PartitionedPermutation) -> BetaPoly:
         raise ValueError("pseudo cumulants are defined for pairing elements")
     if not product_membership(pp) or not is_loop_free(pp):
         raise ValueError("element is not in the loop-free pairing class")
-    rel = _related_blocks(pp)
-    out = BetaPoly.one()
-    for block in pp.part.blocks:
-        q = len(block) // 2
-        base = BetaPoly.beta(2 * q)
-        if not rel[block]:
-            for obst in obstruction_set(q):
-                base += BetaPoly({tuple(sorted(len(d) for d in obst.blocks)): 1})
-        out = out * base.scale(2 ** (q - 1))
-    return out
+    return _pseudo_cumulant(pp)
 
 
 def fluctuation_moment(orders: Sequence[int]) -> BetaPoly:
-    """The limit fluctuation moment via the closed combinatorial formula."""
-    shape = _validate_orders(orders)
+    """The limit fluctuation moment via the closed combinatorial formula; its
+    enumerator yields only loop-free pairing members, so weights are unchecked."""
+    shape = validate_orders(orders)
     total = BetaPoly.zero()
     for pp in enumerate_ps_nc2_loopfree(shape):
-        total += pseudo_cumulant(pp)
+        total += _pseudo_cumulant(pp)
     return total
 
 
@@ -406,22 +403,12 @@ def _kappa(key: tuple[int, ...]) -> BetaPoly:
     return _KAPPA_CACHE[key]
 
 
-MAX_CUMULANT_PARTS = 4
-MAX_CUMULANT_ORDER = 8
-
-
 def free_cumulant(orders: Sequence[int]) -> BetaPoly:
     """One entry of the fluctuation-cumulant table (arguments reordered to
     the canonical sorted key)."""
-    key = tuple(sorted(_validate_orders(orders)))
-    if len(key) > MAX_CUMULANT_PARTS:
-        raise CapabilityError(
-            f"cumulants are established only up to {MAX_CUMULANT_PARTS} arguments (got {len(key)})"
-        )
-    if sum(key) > MAX_CUMULANT_ORDER:
-        raise CapabilityError(
-            f"cumulants are supported up to total order {MAX_CUMULANT_ORDER} (got {sum(key)})"
-        )
+    key = tuple(sorted(validate_orders(orders)))
+    check_limit("cumulant arguments", len(key))
+    check_limit("cumulant total order", sum(key))
     return _kappa(key)
 
 
@@ -441,21 +428,14 @@ def _ascending_partitions(total: int, max_parts: int) -> Iterator[tuple[int, ...
 
 
 def free_cumulants(
-    max_r: int = MAX_CUMULANT_PARTS, max_order: int = MAX_CUMULANT_ORDER
+    max_r: int = LIMITS["cumulant arguments"], max_order: int = LIMITS["cumulant total order"]
 ) -> CumulantTable:
     """The full table of fluctuation cumulants with at most max_r arguments
     and total order at most max_order, keyed by sorted argument tuples."""
     if max_r < 1 or max_order < 1:
         raise ValueError("bounds must be positive")
-    if max_r > MAX_CUMULANT_PARTS:
-        raise CapabilityError(
-            f"cumulants are established only up to order {MAX_CUMULANT_PARTS} "
-            f"in the number of arguments (got {max_r})"
-        )
-    if max_order > MAX_CUMULANT_ORDER:
-        raise CapabilityError(
-            f"cumulants are supported up to total order {MAX_CUMULANT_ORDER} (got {max_order})"
-        )
+    check_limit("cumulant arguments", max_r)
+    check_limit("cumulant total order", max_order)
     table: CumulantTable = {}
     for total in range(1, max_order + 1):
         for key in _ascending_partitions(total, max_r):

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import LIMITS, check_limit, validate_orders
 from .setpartitions import enumerate_partitions
 
 COMPLEX_GAUSSIAN = "complex-gaussian"
@@ -96,38 +96,40 @@ def parse_law(text: str) -> EntryLaw:
     raise ValueError(f"cannot parse law {text!r}")
 
 
-MAX_BETA_HALF_ORDER = 4
+def _cumulant(n: int, moment: Callable[[tuple[int, ...]], complex]) -> complex:
+    """The joint cumulant of n variables from their mixed moments: the sum
+    over the partitions of 1..n of (-1)^(k-1) (k-1)! times the product of
+    moment(block) over the k blocks."""
+    total = 0.0
+    for part in enumerate_partitions(n):
+        k = part.num_blocks()
+        term = (-1) ** (k - 1) * math.factorial(k - 1)
+        for block in part.blocks:
+            term = term * moment(block)
+        total += term
+    return total
 
 
 def beta_of(law: EntryLaw, n: int) -> float:
     """The 2n-th alternating entry cumulant of the law.
 
-    Only partitions whose every block picks up as many plain as conjugated
-    factors survive phase invariance; each such block contributes a radial
-    moment.
+    Only blocks that pick up as many plain as conjugated factors survive
+    phase invariance; each such block's moment is a radial moment, and
+    every other block's moment is zero.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > MAX_BETA_HALF_ORDER:
-        raise CapabilityError(
-            f"entry cumulants are supported up to 2n = {2 * MAX_BETA_HALF_ORDER} (got 2n = {2 * n})"
-        )
-    total = 0.0
-    for part in enumerate_partitions(2 * n):
-        balanced = all(
-            2 * sum(1 for x in b if x % 2 == 1) == len(b) for b in part.blocks
-        )
-        if not balanced:
-            continue
-        k = part.num_blocks()
-        term = (-1) ** (k - 1) * math.factorial(k - 1)
-        for b in part.blocks:
-            term *= law.radial_moment(len(b) // 2)
-        total += term
-    return total
+    check_limit("entry cumulant n", n)
+
+    def moment(block: tuple[int, ...]) -> float:
+        if 2 * sum(1 for x in block if x % 2 == 1) != len(block):
+            return 0.0
+        return law.radial_moment(len(block) // 2)
+
+    return _cumulant(2 * n, moment)
 
 
-def beta_assignment(law: EntryLaw, max_n: int = MAX_BETA_HALF_ORDER) -> dict[int, float]:
+def beta_assignment(law: EntryLaw, max_n: int = LIMITS["entry cumulant n"]) -> dict[int, float]:
     """Values {2: b2, 4: b4, ...} suitable for BetaPoly.evaluate."""
     return {2 * n: beta_of(law, n) for n in range(1, max_n + 1)}
 
@@ -203,17 +205,14 @@ def plugin_joint_cumulant(columns: np.ndarray) -> complex:
     if r == 1:
         return complex(np.mean(columns[0]))
     cols = columns - columns.mean(axis=1, keepdims=True)
-    total = 0.0 + 0.0j
-    for part in enumerate_partitions(r):
-        k = part.num_blocks()
-        term = (-1) ** (k - 1) * math.factorial(k - 1)
-        for block in part.blocks:
-            prod = np.ones(n, dtype=complex)
-            for i in block:
-                prod = prod * cols[i - 1]
-            term = term * np.mean(prod)
-        total += term
-    return complex(total)
+
+    def moment(block: tuple[int, ...]) -> complex:
+        prod = np.ones(n, dtype=complex)
+        for i in block:
+            prod = prod * cols[i - 1]
+        return np.mean(prod)
+
+    return complex(_cumulant(r, moment))
 
 
 def empirical_fluctuation(
@@ -229,12 +228,9 @@ def empirical_fluctuation(
     own spawned RNG streams; the estimate is the mean of the per-batch
     plug-in values and the standard error their spread.
     """
-    orders = tuple(int(x) for x in orders)
-    if not orders or any(x < 1 for x in orders):
-        raise ValueError(f"orders must be positive integers: {orders}")
+    orders = validate_orders(orders)
     r = len(orders)
-    if r > 4:
-        raise CapabilityError(f"fluctuations of order > 4 are unsupported (got {r})")
+    check_limit("Monte Carlo arguments", r)
     if N < 1:
         raise ValueError("N must be >= 1")
     n_batches = math.isqrt(samples)

@@ -65,10 +65,6 @@ class PartitionedPermutation:
         return f"({self.part}; {self.perm})"
 
 
-def pp_length(pp: PartitionedPermutation) -> int:
-    return pp.length()
-
-
 def pp_product(
     a: PartitionedPermutation, b: PartitionedPermutation
 ) -> "PartitionedPermutation | _Zero":

@@ -153,6 +153,18 @@ def test_oracle_bound(capsys):
     assert out.splitlines()[-1] == "PASS"
 
 
+def test_oracle_rejects_before_closed_formula(capsys, monkeypatch):
+    # Total 14 is over the oracle's default bound; the request must fail on
+    # entry, without computing the closed formula first.
+    def closed_formula(orders):
+        pytest.fail(f"fluctuation_moment({orders}) ran for a rejected request")
+
+    monkeypatch.setattr("wignerfluct.cli.fluctuation_moment", closed_formula)
+    code, out, err = run(capsys, "oracle", "--orders", "7,7")
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_mc_smoke(capsys):
     code, out, _ = run(
         capsys,
