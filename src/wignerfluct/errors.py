@@ -17,9 +17,10 @@ class CapabilityError(Exception):
 
 # The largest value each bounded request accepts. The argument limits are as
 # far as pseudo-cumulants are proven to equal the free cumulants, the
-# obstruction limit is the last tabulated A_n, and the others keep exhaustive
-# scans short; moment_oracle and finite_n_moment take an explicit `bound` in
-# place of the oracle limit.
+# obstruction limit is the last tabulated A_n, the Monte Carlo dimension is
+# the largest N whose one matrix fits a sampling chunk of 1 << 22 entries,
+# and the others keep exhaustive scans short; moment_oracle and
+# finite_n_moment take an explicit `bound` in place of the oracle limit.
 LIMITS: dict[str, int] = {
     "oracle total order": 8,
     "cumulant arguments": 4,
@@ -29,6 +30,7 @@ LIMITS: dict[str, int] = {
     "enumerate pairing total order": 12,
     "entry cumulant n": 4,
     "Monte Carlo arguments": 4,
+    "Monte Carlo dimension": 2048,
 }
 
 

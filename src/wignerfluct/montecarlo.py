@@ -1,10 +1,17 @@
 """Monte Carlo estimation of trace fluctuation cumulants.
 
 Matrices are sampled per entry law (self-adjoint, phase-invariant above the
-diagonal, real Gaussian diagonal), trace powers are taken by repeated dense
-matrix multiplication, and joint cumulants of the trace vector use plain
-plug-in estimators. Standard errors come from batch means with roughly
-sqrt(samples) batches.
+diagonal, real Gaussian diagonal). Each chunk draws full N x N blocks of the
+law, of which only the strict upper triangles are used, then the diagonal,
+and assembles the Hermitian matrices in real arithmetic; a seed fixes every
+draw and so every estimate. Trace powers come from Frobenius inner products,
+exact for self-adjoint X:
+
+    Tr X^(2k) = <X^k, X^k>,    Tr X^(2k+1) = <X^k, X^(k+1)>,
+
+so only the powers up to ceil(p / 2) are multiplied out. Joint cumulants of
+the trace vector use plain plug-in estimators, and standard errors come from
+batch means with roughly sqrt(samples) batches.
 """
 
 from __future__ import annotations
@@ -22,7 +29,11 @@ COMPLEX_GAUSSIAN = "complex-gaussian"
 FIXED_MODULUS = "fixed-modulus-phase"
 TWO_POINT = "two-point-modulus-phase"
 
+# A sampling chunk holds at most _MATRIX_CHUNK matrices and _CHUNK_ENTRIES
+# matrix entries (64 MB as complex128), whatever N; the "Monte Carlo
+# dimension" limit is the largest N whose one matrix fits.
 _MATRIX_CHUNK = 256
+_CHUNK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -134,56 +145,92 @@ def beta_assignment(law: EntryLaw, max_n: int = LIMITS["entry cumulant n"]) -> d
     return {2 * n: beta_of(law, n) for n in range(1, max_n + 1)}
 
 
-def _entry_block(law: EntryLaw, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    if law.kind == COMPLEX_GAUSSIAN:
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
-    theta = rng.uniform(0.0, 2.0 * math.pi, shape)
-    if law.kind == FIXED_MODULUS:
-        modulus = law.params[0]
-    else:
-        c1, c2, p = law.params
-        modulus = np.where(rng.random(shape) < p, c1, c2)
-    return modulus * np.exp(1j * theta)
-
-
 def _sample_batch(
     law: EntryLaw, N: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    z = _entry_block(law, rng, (count, N, N))
-    upper = np.triu(z, k=1)
-    mats = upper + np.conj(np.transpose(upper, (0, 2, 1)))
+    """`count` self-adjoint N x N matrices, drawn in one fixed order: the
+    full (count, N, N) blocks of the above-diagonal law, then the diagonal.
+
+    Only the draws above the diagonal are used: each part is multiplied by a
+    factor that carries the scale 1/sqrt(N) above the diagonal and is zero
+    on and below it. The real parts are then mirrored, and the imaginary
+    parts mirrored with a sign flip, into one complex array.
+    """
+    shape = (count, N, N)
+    scale = 1.0 / math.sqrt(N)
+
+    def upper(value: float) -> np.ndarray:
+        return np.triu(np.full((N, N), value * scale), k=1)
+
+    if law.kind == COMPLEX_GAUSSIAN:
+        re = rng.standard_normal(shape)
+        im = rng.standard_normal(shape)
+        factor = upper(math.sqrt(0.5))
+        re *= factor
+        im *= factor
+    else:
+        theta = rng.uniform(0.0, 2.0 * math.pi, shape)
+        if law.kind == FIXED_MODULUS:
+            modulus = upper(law.params[0])
+        else:
+            c1, c2, p = law.params
+            modulus = np.where(rng.random(shape) < p, upper(c1), upper(c2))
+        # cos and sin only above the diagonal; the zero modulus clears the
+        # angles that sin leaves below it.
+        above = np.triu(np.ones((N, N), dtype=bool), k=1)
+        re = np.cos(theta, out=np.zeros(shape), where=above)
+        re *= modulus
+        im = np.sin(theta, out=theta, where=above)
+        im *= modulus
+        del modulus  # freed before the complex array is allocated
+    mats = np.empty(shape, dtype=complex)
+    np.add(re, np.swapaxes(re, 1, 2), out=mats.real)
+    np.subtract(im, np.swapaxes(im, 1, 2), out=mats.imag)
+    diag_sd = math.sqrt(beta_of(law, 1)) * scale
     idx = np.arange(N)
-    diag_sd = math.sqrt(beta_of(law, 1))
-    mats[:, idx, idx] = diag_sd * rng.standard_normal((count, N))
-    return mats / math.sqrt(N)
+    mats.real[:, idx, idx] = diag_sd * rng.standard_normal((count, N))
+    return mats
 
 
 def sample(law: EntryLaw, N: int, seed: int) -> np.ndarray:
     """One self-adjoint N x N matrix, deterministic in the seed."""
     if N < 1:
         raise ValueError("N must be >= 1")
+    check_limit("Monte Carlo dimension", N)
     rng = np.random.default_rng(seed)
     return _sample_batch(law, N, 1, rng)[0]
 
 
-def _trace_powers(mats: np.ndarray, powers: Sequence[int]) -> np.ndarray:
-    """Tr(X^p) for each requested power, via repeated matrix products.
+def _frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a_i, b_i> for each matrix of two complex stacks: one real dot
+    product of their float64 views per matrix."""
+    count = a.shape[0]
+    x = a.view(np.float64).reshape(count, 1, -1)
+    y = b.view(np.float64).reshape(count, -1, 1)
+    return (x @ y)[:, 0, 0]
 
-    Returns an array of shape (len(powers), count); traces of self-adjoint
-    powers are real.
+
+def _trace_powers(mats: np.ndarray, powers: Sequence[int]) -> np.ndarray:
+    """Tr(X^p) for each requested power of self-adjoint matrices.
+
+    With X self-adjoint, Tr X^(2k) = <X^k, X^k> and Tr X^(2k+1) =
+    <X^k, X^(k+1)> (Frobenius inner products), so only the powers up to
+    ceil(max(p) / 2) are formed, and two at a time. Returns an array of
+    shape (len(powers), count).
     """
     wanted = set(powers)
-    out = np.empty((len(powers), mats.shape[0]))
-    current = mats
     traces: dict[int, np.ndarray] = {}
-    for p in range(1, max(wanted) + 1):
-        if p > 1:
-            current = current @ mats
-        if p in wanted:
-            traces[p] = np.einsum("bii->b", current).real
-    for i, p in enumerate(powers):
-        out[i] = traces[p]
-    return out
+    if 1 in wanted:
+        traces[1] = np.einsum("bii->b", mats).real
+    current = mats
+    for k in range(1, (max(wanted) + 1) // 2 + 1):
+        if k > 1:
+            previous, current = current, current @ mats
+            if 2 * k - 1 in wanted:
+                traces[2 * k - 1] = _frobenius(previous, current)
+        if 2 * k in wanted:
+            traces[2 * k] = _frobenius(current, current)
+    return np.array([traces[p] for p in powers])
 
 
 def plugin_joint_cumulant(columns: np.ndarray) -> complex:
@@ -233,6 +280,7 @@ def empirical_fluctuation(
     check_limit("Monte Carlo arguments", r)
     if N < 1:
         raise ValueError("N must be >= 1")
+    check_limit("Monte Carlo dimension", N)
     n_batches = math.isqrt(samples)
     if n_batches < 1 or samples < 10 * n_batches:
         raise ValueError(
@@ -243,18 +291,18 @@ def empirical_fluctuation(
         quotas[i] += 1
     streams = np.random.SeedSequence(seed).spawn(n_batches)
     scale = float(N) ** (r - 2)
+    chunk = min(_MATRIX_CHUNK, _CHUNK_ENTRIES // (N * N))
     estimates = np.empty(n_batches)
     for b, (quota, ss) in enumerate(zip(quotas, streams)):
         rng = np.random.default_rng(ss)
         traces = np.empty((r, quota))
-        done = 0
-        # Keep each chunk of complex matrices around 64 MB regardless of N.
-        chunk = max(1, min(_MATRIX_CHUNK, (1 << 22) // (N * N)))
-        while done < quota:
+        for done in range(0, quota, chunk):
             take = min(chunk, quota - done)
-            mats = _sample_batch(law, N, take, rng)
-            traces[:, done : done + take] = _trace_powers(mats, orders)
-            done += take
+            # No chunk's matrices outlive its traces, so the next chunk
+            # samples with only its own matrices in memory.
+            traces[:, done : done + take] = _trace_powers(
+                _sample_batch(law, N, take, rng), orders
+            )
         estimates[b] = scale * plugin_joint_cumulant(traces).real
     estimate = float(np.mean(estimates))
     stderr = (

@@ -190,6 +190,16 @@ def test_mc_rejects_thin_batches(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_mc_rejects_huge_dimension_before_sampling(capsys, monkeypatch):
+    def draw(*args):
+        pytest.fail("a matrix was sampled for a rejected dimension")
+
+    monkeypatch.setattr("wignerfluct.montecarlo._sample_batch", draw)
+    code, out, err = run(capsys, "mc", "--orders", "2", "--dim", "2049")
+    assert code == 2 and out == ""
+    assert err.startswith("error: Monte Carlo dimension is supported up to 2048")
+
+
 def test_finite_n_json(capsys):
     code, out, _ = run(
         capsys, "finite-n", "--orders", "2,2", "--dim", "10", "--format", "json"

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from wignerfluct.errors import CapabilityError
+from wignerfluct import montecarlo
+from wignerfluct.errors import LIMITS, CapabilityError
 from wignerfluct.moments import finite_n_moment
 from wignerfluct.montecarlo import (
     EntryLaw,
+    _sample_batch,
+    _trace_powers,
     beta_assignment,
     beta_of,
     empirical_fluctuation,
@@ -116,6 +119,61 @@ def test_sample_is_selfadjoint_and_deterministic():
         sample(EntryLaw.gue(), 0, seed=1)
 
 
+def _complex_batch(law, N, count, rng):
+    # The direct complex construction: whole complex entry blocks, the strict
+    # upper triangle plus its conjugate transpose, a real Gaussian diagonal,
+    # then one division by sqrt(N). It draws from `rng` exactly what
+    # _sample_batch must draw, in the same order.
+    shape = (count, N, N)
+    if law.kind == "complex-gaussian":
+        z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2)
+    else:
+        theta = rng.uniform(0.0, 2.0 * math.pi, shape)
+        if law.kind == "fixed-modulus-phase":
+            modulus = law.params[0]
+        else:
+            c1, c2, p = law.params
+            modulus = np.where(rng.random(shape) < p, c1, c2)
+        z = modulus * np.exp(1j * theta)
+    upper = np.triu(z, k=1)
+    mats = upper + np.conj(np.transpose(upper, (0, 2, 1)))
+    idx = np.arange(N)
+    mats[:, idx, idx] = math.sqrt(beta_of(law, 1)) * rng.standard_normal((count, N))
+    return mats / math.sqrt(N)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.label())
+def test_sample_batch_keeps_the_random_stream(law):
+    # Fixed-seed estimates stay reproducible only if every batch consumes the
+    # generator exactly as the complex construction does: same values, same
+    # count of draws (the next draw after two batches agrees bit for bit).
+    for N, count in ((1, 3), (2, 5), (7, 4), (16, 3)):
+        ours, ref = np.random.default_rng(N), np.random.default_rng(N)
+        for _ in range(2):
+            mats = _sample_batch(law, N, count, ours)
+            assert mats.shape == (count, N, N) and mats.dtype == complex
+            ref_mats = _complex_batch(law, N, count, ref)
+            np.testing.assert_allclose(mats, ref_mats, rtol=1e-14, atol=0)
+            assert np.array_equal(mats, mats.conj().swapaxes(-1, -2))
+        assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.label())
+def test_trace_powers_match_eigenvalue_power_sums(law):
+    # Odd powers come from <X^k, X^(k+1)>, even ones from ||X^k||^2; both are
+    # checked against sums of eigenvalue powers, in the requested order and
+    # with repeats.
+    for N in (1, 5, 12):
+        mats = _sample_batch(law, N, 4, np.random.default_rng(N))
+        eig = np.linalg.eigvalsh(mats)
+        for orders in ((1, 2, 3, 4, 5, 6, 7, 8), (3, 1, 3), (8, 2), (2,), (7,), (6, 6, 5)):
+            got = _trace_powers(mats, orders)
+            want = np.array([(eig**p).sum(axis=1) for p in orders])
+            size = np.array([(np.abs(eig) ** p).sum(axis=1) for p in orders])
+            assert got.shape == (len(orders), 4)
+            assert np.all(np.abs(got - want) <= 1e-12 * size), (N, orders)
+
+
 def test_sample_entries_follow_the_law():
     # Off-diagonal entries carry modulus c / sqrt(N) under the fixed-modulus
     # law, and the diagonal is real.
@@ -147,6 +205,21 @@ def test_empirical_fluctuation_validation():
         empirical_fluctuation(gue, 0, (2,), 100, 0)
     with pytest.raises(ValueError):
         empirical_fluctuation(gue, 4, (), 100, 0)
+
+
+def test_dimension_limit_fails_before_sampling(monkeypatch):
+    # One matrix of the largest supported N fills a whole sampling chunk.
+    top = LIMITS["Monte Carlo dimension"]
+    assert top * top == montecarlo._CHUNK_ENTRIES
+
+    def draw(*args):
+        pytest.fail("a matrix was sampled for a rejected dimension")
+
+    monkeypatch.setattr(montecarlo, "_sample_batch", draw)
+    with pytest.raises(CapabilityError):
+        empirical_fluctuation(EntryLaw.gue(), top + 1, (2,), 100, 0)
+    with pytest.raises(CapabilityError):
+        sample(EntryLaw.gue(), top + 1, seed=0)
 
 
 def test_empirical_fluctuation_result_shape():
